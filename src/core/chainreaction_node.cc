@@ -221,6 +221,9 @@ void ChainReactionNode::AttachObs(MetricsRegistry* metrics, TraceCollector* trac
   m_gated_depth_ = metrics->GetGauge("crx_node_gated_puts", node_label);
   m_dep_wait_ = metrics->GetLatency("crx_node_dep_wait_us", node_label);
   m_ack_batched_ = metrics->GetCounter("crx_ack_batched", node_label);
+  m_ack_batches_ = metrics->GetCounter("crx_ack_batches", node_label);
+  m_ack_hold_ = metrics->GetLatency("crx_ack_hold_us", node_label);
+  m_notify_hold_ = metrics->GetLatency("crx_stable_notify_hold_us", node_label);
   m_store_resident_versions_ = metrics->GetGauge("crx_store_resident_versions", node_label);
   m_store_resident_bytes_ = metrics->GetGauge("crx_store_resident_bytes", node_label);
   m_engine_log_bytes_ = metrics->GetGauge("crx_engine_log_bytes", node_label);
@@ -800,8 +803,8 @@ void ChainReactionNode::SendClientAck(CrxPutAck ack, Address client, uint64_t ch
     return;
   }
   // The per-client entry is permanent (bounded by the client population):
-  // each flush clears the ack vector but keeps its capacity, so a window's
-  // worth of acks accumulates without reallocating every window.
+  // each flush clears the ack vector but keeps its capacity, so a batch's
+  // worth of acks accumulates without reallocating every batch.
   PendingAckBatch& entry = pending_client_acks_[client];
   entry.batch.up_to_seq = std::max(entry.batch.up_to_seq, chain_seq);
   entry.batch.acks.push_back(std::move(ack));
@@ -810,7 +813,8 @@ void ChainReactionNode::SendClientAck(CrxPutAck ack, Address client, uint64_t ch
   }
   if (!entry.armed) {
     entry.armed = true;
-    env_->Schedule(config_.ack_batch_window, [this, client]() { FlushClientAcks(client); });
+    entry.since = env_->Now();
+    env_->Defer(config_.ack_batch_window, [this, client]() { FlushClientAcks(client); });
   }
 }
 
@@ -824,9 +828,13 @@ void ChainReactionNode::FlushClientAcks(Address client) {
   if (entry.batch.acks.empty()) {
     return;
   }
+  if (m_ack_batches_ != nullptr) {
+    m_ack_batches_->Inc();
+    m_ack_hold_->Record(env_->Now() - entry.since);
+  }
   env_->Send(client, Enc(entry.batch));
   entry.batch.acks.clear();
-  entry.batch.up_to_seq = 0;  // next window reports only its own max
+  entry.batch.up_to_seq = 0;  // next batch reports only its own max
 }
 
 void ChainReactionNode::HandleChainPut(CrxChainPutView& msg, Address from) {
@@ -890,7 +898,7 @@ void ChainReactionNode::StabilizeAtTail(const Key& key, const Version& version,
       }
     } else {
       // Coalesce: remember the newest stable version per key and notify
-      // once per delay window. On hot keys this collapses a per-write
+      // once per deferred flush. On hot keys this collapses a per-write
       // backward wave into one message (stability is prefix-closed, so
       // notifying the newest version covers all older ones).
       // The merged (possibly synthetic) version dominates every version
@@ -958,23 +966,29 @@ void ChainReactionNode::ArmGeoNotifyRetry() {
 }
 
 void ChainReactionNode::ScheduleStableNotify(const Key& key) {
-  // One timer per pending key, exactly like a per-key closure would fire —
-  // but the closure captures only `this` (inside std::function's inline
-  // buffer), and the key rides a FIFO instead: the delay is constant, so
-  // timers fire in arming order and each firing flushes the oldest key.
-  notify_fifo_.push_back(key);
-  env_->Schedule(config_.stable_notify_delay, [this]() { FlushStableNotify(); });
+  // One deferred flush per pending key, exactly like a per-key closure
+  // would fire — but the closure captures only `this` (inside
+  // std::function's inline buffer), and the key rides a FIFO instead:
+  // deferred work runs in arming order (a constant window in the
+  // simulator, one end-of-cycle queue on TCP), so each flush takes the
+  // oldest key.
+  notify_fifo_.push_back(ArmedNotify{key, env_->Now()});
+  env_->Defer(config_.stable_notify_delay, [this]() { FlushStableNotify(); });
 }
 
 void ChainReactionNode::FlushStableNotify() {
   if (notify_fifo_.empty()) {
     return;
   }
-  const Key key = std::move(notify_fifo_.front());
+  const ArmedNotify armed = std::move(notify_fifo_.front());
   notify_fifo_.pop_front();
+  const Key& key = armed.key;
   auto pit = pending_notify_.find(key);
   if (pit == pending_notify_.end()) {
     return;
+  }
+  if (m_notify_hold_ != nullptr) {
+    m_notify_hold_->Record(env_->Now() - armed.since);
   }
   CrxStableNotify notify;
   notify.key = key;

@@ -241,8 +241,10 @@ class ChainReactionNode : public Actor {
                        std::string_view value, TraceContext trace);
 
   // Client ack path: with ack_batch_window > 0 acks are coalesced per
-  // client into one cumulative CrxPutAckBatch per window; otherwise each
-  // ack is sent immediately (legacy wire behavior).
+  // client into one cumulative CrxPutAckBatch, flushed through Env::Defer
+  // (end of the event-loop cycle on TCP, after the window in the
+  // simulator); otherwise each ack is sent immediately (legacy wire
+  // behavior).
   void SendClientAck(CrxPutAck ack, Address client, uint64_t chain_seq);
   void FlushClientAcks(Address client);
 
@@ -455,12 +457,17 @@ class ChainReactionNode : public Actor {
   // Tail state.
   std::unordered_map<Key, std::vector<StabilityWatcher>> watchers_;
   // Coalesced backward stability notifications: newest stable version per
-  // key whose notify timer is armed. Map nodes are recycled, and the armed
-  // keys ride a FIFO so the per-key timers capture only `this` (see
+  // key whose deferred notify is armed. Map nodes are recycled, and the
+  // armed keys ride a FIFO (with their arming time, for the hold
+  // histogram) so the per-key callbacks capture only `this` (see
   // ScheduleStableNotify).
+  struct ArmedNotify {
+    Key key;
+    Time since = 0;
+  };
   std::unordered_map<Key, Version> pending_notify_;
   MapNodeCache<std::unordered_map<Key, Version>> pending_notify_cache_;
-  std::deque<Key> notify_fifo_;
+  std::deque<ArmedNotify> notify_fifo_;
   // Geo notifications not yet acknowledged by the local replicator,
   // resent periodically — a lost notification would otherwise silently
   // prevent an update from ever being shipped or acknowledged. Keyed by
@@ -476,12 +483,14 @@ class ChainReactionNode : public Actor {
   // re-propagation (anti-entropy, repair).
   std::unordered_map<NodeId, uint64_t> next_chain_seq_;
 
-  // Cumulative client acks awaiting their flush timer (only populated when
-  // config_.ack_batch_window > 0). Entries persist across windows so the
-  // ack vector's capacity is reused; `armed` tracks the pending flush timer.
+  // Cumulative client acks awaiting their deferred flush (only populated
+  // when config_.ack_batch_window > 0). Entries persist across batches so
+  // the ack vector's capacity is reused; `armed` tracks the pending flush
+  // and `since` the batch's first enqueue.
   struct PendingAckBatch {
     CrxPutAckBatch batch;
     bool armed = false;
+    Time since = 0;
   };
   std::unordered_map<Address, PendingAckBatch> pending_client_acks_;
 
@@ -507,6 +516,9 @@ class ChainReactionNode : public Actor {
   Gauge* m_gated_depth_ = nullptr;
   LatencyMetric* m_dep_wait_ = nullptr;
   Counter* m_ack_batched_ = nullptr;
+  Counter* m_ack_batches_ = nullptr;
+  LatencyMetric* m_ack_hold_ = nullptr;
+  LatencyMetric* m_notify_hold_ = nullptr;
   Gauge* m_store_resident_versions_ = nullptr;
   Gauge* m_store_resident_bytes_ = nullptr;
   Gauge* m_engine_log_bytes_ = nullptr;

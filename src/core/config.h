@@ -53,20 +53,25 @@ struct CrxConfig {
   // Retry timeout for client requests.
   Duration client_timeout = 500 * kMillisecond;
 
-  // Tails coalesce backward stability notifications per key for this long
-  // (hot keys stabilize many versions per notification instead of one
-  // message each). 0 sends immediately.
+  // Coalescing windows. A value > 0 turns coalescing on; the batch is then
+  // flushed through Env::Defer, which on TCP means at the end of the
+  // event-loop cycle that opened it (a batch holds whatever that cycle
+  // produced, and never waits on a timer), while the simulator, having no
+  // loop cycles, holds it for exactly this many microseconds (DESIGN.md
+  // §10). 0 sends each message immediately.
+  //
+  // Tails coalesce backward stability notifications per key (hot keys
+  // stabilize many versions per notification instead of one message each).
   Duration stable_notify_delay = 100;  // microseconds
 
-  // Nodes at the k-stability position coalesce client acks per client for
-  // this long and reply with one cumulative CrxPutAckBatch per window
-  // instead of one CrxPutAck per put. 0 (the default) sends each ack
-  // immediately — the pre-batching wire behavior.
+  // Nodes at the k-stability position coalesce client acks per client and
+  // reply with one cumulative CrxPutAckBatch instead of one CrxPutAck per
+  // put. 0 (the default) is the pre-batching wire behavior.
   Duration ack_batch_window = 0;  // microseconds
 
-  // Geo replicators coalesce outgoing GeoShips per peer DC for this long
-  // and send one GeoShipBatch per window. 0 (the default) ships each
-  // stable version in its own frame.
+  // Geo replicators coalesce outgoing GeoShips per peer DC into one
+  // GeoShipBatch. 0 (the default) ships each stable version in its own
+  // frame.
   Duration geo_ship_batch_window = 0;  // microseconds
 
   ReadPolicy read_policy = ReadPolicy::kUniformPrefix;

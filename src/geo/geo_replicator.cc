@@ -191,7 +191,7 @@ void GeoReplicator::SendShip(DcId peer, const GeoShip& ship) {
     m_ship_batched_->Inc();
   }
   if (first) {
-    env_->Schedule(config_.geo_ship_batch_window, [this, peer]() { FlushShipBatch(peer); });
+    env_->Defer(config_.geo_ship_batch_window, [this, peer]() { FlushShipBatch(peer); });
   }
 }
 

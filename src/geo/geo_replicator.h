@@ -102,8 +102,9 @@ class GeoReplicator : public Actor {
   void RetransmitUnacked();
 
   // Outbound ship path: with geo_ship_batch_window > 0 first shipments are
-  // coalesced per peer into one GeoShipBatch per window (channel FIFO order
-  // is preserved; retransmissions stay per-entry). 0 sends immediately.
+  // coalesced per peer into one GeoShipBatch, flushed through Env::Defer
+  // (channel FIFO order is preserved; retransmissions stay per-entry). 0
+  // sends immediately.
   void SendShip(DcId peer, const GeoShip& ship);
   void FlushShipBatch(DcId peer);
 
@@ -129,7 +130,7 @@ class GeoReplicator : public Actor {
   uint64_t next_channel_seq_ = 1;
   std::unordered_set<std::string> shipped_;  // dedup by (key, version)
   std::unordered_map<uint64_t, PendingGlobal> pending_global_;
-  // Ships awaiting their per-peer batch flush timer (only populated when
+  // Ships awaiting their per-peer deferred batch flush (only populated when
   // config_.geo_ship_batch_window > 0).
   std::unordered_map<DcId, GeoShipBatch> pending_ship_batch_;
 

@@ -288,12 +288,13 @@ struct CrxPutAck {
 
 // Node at position k -> client: cumulative acknowledgement. With ack
 // batching on (CrxConfig::ack_batch_window > 0), the acking node coalesces
-// the per-put acks destined for one client over a short window into a
-// single frame, collapsing the k-stability ack storm. `up_to_seq` is the
-// highest chain-pipeline sequence number (CrxChainPut::chain_seq) among the
-// batched puts on the incoming link; every put with a lower sequence on
-// that link is covered by an entry in `acks`. Entries are in ack order, so
-// processing them sequentially is identical to receiving individual acks.
+// the per-put acks destined for one client into a single frame per
+// Env::Defer flush (one event-loop cycle on TCP), collapsing the
+// k-stability ack storm. `up_to_seq` is the highest chain-pipeline sequence
+// number (CrxChainPut::chain_seq) among the batched puts on the incoming
+// link; every put with a lower sequence on that link is covered by an entry
+// in `acks`. Entries are in ack order, so processing them sequentially is
+// identical to receiving individual acks.
 struct CrxPutAckBatch {
   static constexpr MsgType kType = MsgType::kCrxPutAckBatch;
   uint64_t up_to_seq = 0;
@@ -856,10 +857,10 @@ struct GeoShip {
 
 // Origin replicator -> peer replicator: several stable versions shipped in
 // one frame. With CrxConfig::geo_ship_batch_window > 0, outgoing GeoShips
-// for one peer are coalesced over a short window; the receiver processes
-// the entries in order, exactly as if they had arrived as individual
-// GeoShip frames (channel FIFO order is preserved, retransmission remains
-// per-entry).
+// for one peer are coalesced until the next Env::Defer flush; the receiver
+// processes the entries in order, exactly as if they had arrived as
+// individual GeoShip frames (channel FIFO order is preserved,
+// retransmission remains per-entry).
 struct GeoShipBatch {
   static constexpr MsgType kType = MsgType::kGeoShipBatch;
   std::vector<GeoShip> ships;

@@ -9,6 +9,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -64,6 +65,10 @@ class TcpRuntime::TcpEnv : public Env {
   }
 
   void CancelTimer(uint64_t timer_id) override { shard_->cancelled_timers.Insert(timer_id); }
+
+  void Defer(Duration /*window*/, std::function<void()> fn) override {
+    shard_->deferred.push_back(std::move(fn));
+  }
 
  private:
   TcpRuntime* rt_;
@@ -210,6 +215,7 @@ void TcpRuntime::Loop(Shard* shard) {
   while (running_.load()) {
     DrainPosted(shard);
     RunTimers(shard);
+    RunDeferred(shard);
     // One coalesced writev per dirty connection for everything the drained
     // work produced, before going to sleep.
     FlushAll(shard);
@@ -225,10 +231,9 @@ void TcpRuntime::Loop(Shard* shard) {
       fds.push_back({conn->fd, events, 0});
     }
 
-    int timeout_ms = 50;
+    int timeout_ms = kMaxPollMs;
     if (!shard->timers.empty()) {
-      const Time delta = shard->timers.top().at - NowMicros();
-      timeout_ms = delta <= 0 ? 0 : static_cast<int>(std::min<Time>(delta / 1000 + 1, 50));
+      timeout_ms = PollTimeoutMs(shard->timers.top().at - NowMicros());
     }
     if (!shard->local_posted.empty() || !shard->local_frames.empty()) {
       timeout_ms = 0;  // timer callbacks may have posted follow-up work
@@ -302,6 +307,27 @@ void TcpRuntime::DrainPosted(Shard* shard) {
       fn();
     }
   }
+}
+
+void TcpRuntime::RunDeferred(Shard* shard) {
+  while (!shard->deferred.empty()) {
+    auto fn = std::move(shard->deferred.front());
+    shard->deferred.pop_front();
+    fn();
+    if (shard->deferred.empty()) {
+      // A flush may hand a frame to a same-shard actor, whose handler may
+      // open another batch; both land in this cycle.
+      DrainPosted(shard);
+    }
+  }
+}
+
+int TcpRuntime::PollTimeoutMs(Time delta_us) {
+  if (delta_us <= 0) {
+    return 0;
+  }
+  const Time capped = std::min<Time>(delta_us, Time{kMaxPollMs} * 1000);
+  return static_cast<int>((capped + 999) / 1000);
 }
 
 void TcpRuntime::RunTimers(Shard* shard) {

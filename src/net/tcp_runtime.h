@@ -86,6 +86,16 @@ class TcpRuntime {
   uint64_t writev_calls() const { return writev_calls_.load(); }
   uint64_t writev_frames() const { return writev_frames_.load(); }
 
+  // Longest poll() sleep, in milliseconds, also used when no timer is armed.
+  static constexpr int kMaxPollMs = 50;
+  // The poll() timeout for a loop whose next timer is due in `delta_us`:
+  // whole milliseconds rounded up, so a timer never fires early and a due
+  // timer never waits an extra millisecond; 0 when the timer is already
+  // due; capped at kMaxPollMs. Sub-millisecond timers still sleep a whole
+  // millisecond: precise sleeps multiply loop wake-ups, and each
+  // cross-thread wake costs far more CPU than it saves (DESIGN.md §10).
+  static int PollTimeoutMs(Time delta_us);
+
  private:
   class TcpEnv;
 
@@ -252,6 +262,10 @@ class TcpRuntime {
     // Plain structs instead of closures: the dominant send path must not
     // allocate per frame.
     std::deque<LocalFrame> local_frames;
+    // Env::Defer work: closes coalescing batches at the end of the cycle,
+    // after posted work and timers and before the writev flush, so the
+    // batch's frame shares that flush and the loop never sleeps on it.
+    std::deque<std::function<void()>> deferred;
 
     std::atomic<uint64_t> outbox_bytes{0};  // mirror for the queue gauge
     std::thread thread;
@@ -281,6 +295,8 @@ class TcpRuntime {
   void Wakeup(Shard* shard);
   void RunTimers(Shard* shard);
   void DrainPosted(Shard* shard);
+  // Runs Env::Defer work, and the same-shard work it spawns, to quiescence.
+  void RunDeferred(Shard* shard);
   void CloseAll();
   void UpdateQueueGauge();
 

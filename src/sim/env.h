@@ -10,6 +10,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/common/payload.h"
 #include "src/common/types.h"
@@ -32,6 +33,20 @@ class Env {
   // Runs `fn` after `delay`. Returns a timer id usable with CancelTimer.
   virtual uint64_t Schedule(Duration delay, std::function<void()> fn) = 0;
   virtual void CancelTimer(uint64_t timer_id) = 0;
+
+  // Runs `fn` once the work in hand is done, and no later than `window`.
+  // Coalescing windows (client-ack batches, stability notifications, geo
+  // ship batches) arm this instead of a timer, so a batch grows only while
+  // there is work ready to join it (DESIGN.md §10):
+  //   * TcpRuntime runs `fn` at the end of the current event-loop cycle,
+  //     before the cycle's writev flush and before the loop sleeps;
+  //   * the simulator has no loop cycles and waits the full `window`.
+  // The default is a zero-delay timer: an Env wrapper that forwards only
+  // Schedule still flushes without a wait (on TCP an already-due timer
+  // fires before the loop sleeps).
+  virtual void Defer(Duration /*window*/, std::function<void()> fn) {
+    Schedule(0, std::move(fn));
+  }
 };
 
 // An actor receives messages addressed to it. Implementations must not block.

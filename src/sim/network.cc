@@ -41,6 +41,12 @@ class SimEnv : public Env {
 
   void CancelTimer(uint64_t timer_id) override { net_->sim_->Cancel(timer_id); }
 
+  // A simulated window is the only batching boundary the simulator can
+  // model, so deferred work waits all of it.
+  void Defer(Duration window, std::function<void()> fn) override {
+    Schedule(window, std::move(fn));
+  }
+
  private:
   SimNetwork* net_;
   Address self_;

@@ -4,7 +4,9 @@
 // catch.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "src/harness/cluster.h"
 #include "src/harness/experiment.h"
@@ -368,6 +370,76 @@ TEST(CrxProtocol, InterleavedSessionsSeeEachOther) {
   a->Get("shared", [&](const ChainReactionClient::GetResult& r) { seen = r.value; });
   cluster.sim()->Run();
   EXPECT_EQ(seen, "from-b");
+}
+
+// A coalescing window is a real wait in the simulator — it has no event-loop
+// cycles to close a batch early — so the ack leaves the position-k replica
+// one full window after that replica applied the put, and the tail holds
+// the stability notification for one window. This is the timing model every
+// seeded simulation relies on (the TCP runtime flushes at the end of the
+// cycle instead; see net_test's CoalescingWindowsDoNotHoldQuietLoop).
+TEST(CrxProtocol, SimulatedCoalescingWaitsTheWindow) {
+  constexpr Duration kWindow = 50 * kMillisecond;
+  CrxConfig cfg;
+  cfg.replication = 3;
+  cfg.k_stability = 2;
+  cfg.num_dcs = 1;
+  cfg.ack_batch_window = kWindow;
+  cfg.stable_notify_delay = kWindow;
+  cfg.trace_sample_every = 1;
+  const std::vector<NodeId> ids = {0, 1, 2, 3, 4, 5};
+  const Ring ring(ids, 16, cfg.replication, 1);
+
+  Simulator sim;
+  SimNetwork net(&sim, NetworkConfig{}, 7);
+  MetricsRegistry metrics;
+  TraceCollector traces;
+  std::vector<std::unique_ptr<ChainReactionNode>> nodes;
+  for (NodeId n : ids) {
+    nodes.push_back(std::make_unique<ChainReactionNode>(n, cfg, ring));
+    nodes.back()->AttachObs(&metrics, &traces);
+    nodes.back()->AttachEnv(net.Register(n, nodes.back().get(), 0));
+  }
+  ChainReactionClient client(kClientAddressBase, cfg, ring, 42);
+  client.AttachObs(&metrics, &traces);
+  client.AttachEnv(net.Register(kClientAddressBase, &client, 0));
+
+  bool acked = false;
+  client.Put("key", "v", [&](const ChainReactionClient::PutResult& r) { acked = r.status.ok(); });
+  sim.RunUntil(2 * kSecond);
+  ASSERT_TRUE(acked);
+
+  TraceCollector::Trace trace;
+  ASSERT_TRUE(traces.Latest(&trace));
+  const TraceHop* k_ack = nullptr;
+  const TraceHop* client_ack = nullptr;
+  for (const TraceHop& hop : trace.hops) {
+    if (hop.kind == HopKind::kKAck) {
+      k_ack = &hop;
+    } else if (hop.kind == HopKind::kClientAck) {
+      client_ack = &hop;
+    }
+  }
+  ASSERT_NE(k_ack, nullptr);
+  ASSERT_NE(client_ack, nullptr);
+  EXPECT_GE(client_ack->at - k_ack->at, kWindow);
+  EXPECT_LT(client_ack->at - k_ack->at, 2 * kWindow);
+
+  // The hold histograms record exactly the window, once per flush.
+  const MetricsSnapshot snap = metrics.Snapshot();
+  for (const char* name : {"crx_ack_hold_us", "crx_stable_notify_hold_us"}) {
+    uint64_t flushes = 0;
+    for (const MetricPoint& p : snap.points) {
+      if (p.name == name && p.hist.count() > 0) {
+        flushes += p.hist.count();
+        EXPECT_EQ(p.hist.min(), kWindow) << name;
+        EXPECT_EQ(p.hist.max(), kWindow) << name;
+      }
+    }
+    EXPECT_EQ(flushes, 1u) << name;
+  }
+  EXPECT_EQ(snap.SumCounters("crx_ack_batches"), 1);
+  EXPECT_EQ(snap.SumCounters("crx_ack_batched"), 1);
 }
 
 }  // namespace

@@ -3,11 +3,11 @@
 // process) on loopback sockets, and must behave identically.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
 #include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "src/core/chainreaction_client.h"
 #include "src/core/chainreaction_node.h"
@@ -281,6 +281,8 @@ TEST(TcpTransportMultiLoop, PipelinedPutsWithAckBatching) {
   opts.config.num_dcs = 1;
   opts.config.client_timeout = 2 * kSecond;
   opts.config.ack_batch_window = 100;  // microseconds
+  MetricsRegistry metrics;
+  opts.metrics = &metrics;
   TcpCluster cluster(opts);
 
   TcpCluster::LoadOptions load;
@@ -292,6 +294,84 @@ TEST(TcpTransportMultiLoop, PipelinedPutsWithAckBatching) {
   const TcpCluster::LoadResult result = cluster.RunClosedLoop(load);
   EXPECT_GT(result.ops, 0u);
   EXPECT_EQ(result.failures, 0u) << "every pipelined put must be acked";
+
+  // Batches close at the end of each event-loop cycle, not on a timer; under
+  // pipelined load a cycle still collects several acks per client.
+  const MetricsSnapshot snap = metrics.Snapshot();
+  const int64_t acks = snap.SumCounters("crx_ack_batched");
+  const int64_t batches = snap.SumCounters("crx_ack_batches");
+  ASSERT_GT(batches, 0);
+  EXPECT_GT(static_cast<double>(acks) / static_cast<double>(batches), 1.0)
+      << acks << " acks in " << batches << " batches";
+}
+
+// Reads whether node `n` holds `version` of `key` as DC-Write-Stable, on the
+// node's own loop thread (actor state is loop-thread-private).
+bool StableOnNode(TcpCluster& cluster, NodeId n, const Key& key, const Version& version) {
+  std::promise<bool> stable;
+  cluster.server_runtime()->PostTo(n, [&]() {
+    const StoredVersion* sv = cluster.node(n)->store().FindMeta(key, version);
+    stable.set_value(sv != nullptr && sv->stable);
+  });
+  return stable.get_future().get();
+}
+
+// Coalescing windows must not hold a quiet loop. With both windows far above
+// a loopback round trip, a sequential put's ack and its stability
+// notification still leave at the end of the event-loop cycle that produced
+// them, so the put completes — and its chain head learns it is stable — in
+// well under one window.
+TEST(TcpTransportMultiLoop, CoalescingWindowsDoNotHoldQuietLoop) {
+  constexpr Duration kWindow = 50 * kMillisecond;
+  constexpr auto kBound = std::chrono::milliseconds(25);
+  TcpCluster::Options opts;
+  opts.num_nodes = 6;
+  opts.loop_threads = 2;
+  opts.num_clients = 1;
+  opts.config.replication = 3;
+  opts.config.k_stability = 2;
+  opts.config.num_dcs = 1;
+  opts.config.client_timeout = 2 * kSecond;
+  opts.config.ack_batch_window = kWindow;
+  opts.config.stable_notify_delay = kWindow;
+  TcpCluster cluster(opts);
+
+  SyncClient client(cluster.client(0), cluster.client_runtime());
+  for (int i = 0; i < 10; ++i) {
+    const Key key = "quiet-" + std::to_string(i);
+    const auto start = std::chrono::steady_clock::now();
+    const auto put = client.Put(key, "v");
+    ASSERT_TRUE(put.status.ok()) << "put " << i;
+    EXPECT_LT(std::chrono::steady_clock::now() - start, kBound) << "put " << i;
+
+    const NodeId head = cluster.ring().HeadFor(key);
+    bool stable = false;
+    while (!stable && std::chrono::steady_clock::now() - start < kBound) {
+      stable = StableOnNode(cluster, head, key, put.version);
+    }
+    EXPECT_TRUE(stable) << "head " << head << " did not see put " << i << " stable";
+  }
+}
+
+// The loop's poll timeout: whole milliseconds rounded up (never early, never
+// a millisecond late), 0 for a due timer, capped at kMaxPollMs.
+TEST(TcpRuntimePoll, TimeoutRoundsUpWithoutOversleeping) {
+  EXPECT_EQ(TcpRuntime::PollTimeoutMs(0), 0);
+  EXPECT_EQ(TcpRuntime::PollTimeoutMs(-5), 0);
+  EXPECT_EQ(TcpRuntime::PollTimeoutMs(1), 1);
+  EXPECT_EQ(TcpRuntime::PollTimeoutMs(1000), 1);
+  EXPECT_EQ(TcpRuntime::PollTimeoutMs(2000), 2);
+  EXPECT_EQ(TcpRuntime::PollTimeoutMs(2001), 3);
+  for (Time delta = 1; delta <= 60 * 1000; delta += 7) {
+    const int ms = TcpRuntime::PollTimeoutMs(delta);
+    if (ms < TcpRuntime::kMaxPollMs) {
+      ASSERT_GE(Time{ms} * 1000, delta) << "wakes early for " << delta << " us";
+    }
+    ASSERT_LT(Time{ms - 1} * 1000, delta) << "oversleeps for " << delta << " us";
+  }
+  EXPECT_EQ(TcpRuntime::PollTimeoutMs(50 * 1000), TcpRuntime::kMaxPollMs);
+  EXPECT_EQ(TcpRuntime::PollTimeoutMs(50 * 1000 + 1), TcpRuntime::kMaxPollMs);
+  EXPECT_EQ(TcpRuntime::PollTimeoutMs(int64_t{1} << 62), TcpRuntime::kMaxPollMs);
 }
 
 // Wire format v2 + watermark dependency compression over real sockets: the

@@ -70,7 +70,8 @@ TCP mode (real loopback sockets, wall-clock; chainreaction only):
   --loop-threads N server event loops in one consolidated runtime  [off]
   --pipeline N     outstanding ops per client session              [4]
   --get-fraction P fraction of gets (remainder puts)               [0.5]
-  --ack-batch-us N cumulative-ack coalescing window, us            [100]
+  --ack-batch-us N cumulative-ack coalescing; > 0 turns it on (on TCP
+                   a batch closes at the end of the loop cycle)    [100]
   (honors --servers --clients --records --value-size --replication --k
    --measure-ms --seed --trace-every --dump-traces --metrics)
 )";
