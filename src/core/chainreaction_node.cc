@@ -226,6 +226,7 @@ void ChainReactionNode::AttachObs(MetricsRegistry* metrics, TraceCollector* trac
   m_notify_hold_ = metrics->GetLatency("crx_stable_notify_hold_us", node_label);
   m_store_resident_versions_ = metrics->GetGauge("crx_store_resident_versions", node_label);
   m_store_resident_bytes_ = metrics->GetGauge("crx_store_resident_bytes", node_label);
+  m_store_meta_bytes_ = metrics->GetGauge("crx_store_meta_bytes", node_label);
   m_engine_log_bytes_ = metrics->GetGauge("crx_engine_log_bytes", node_label);
   m_engine_compactions_ = metrics->GetCounter("crx_engine_compactions_total", node_label);
   m_engine_cache_hit_ratio_ = metrics->GetGauge("crx_engine_cache_hit_ratio", node_label);
@@ -246,6 +247,12 @@ void ChainReactionNode::RefreshStoreGauges() {
   const StorageEngineStats es = store_.engine()->Stats();
   m_store_resident_versions_->Set(static_cast<int64_t>(store_.resident_versions()));
   m_store_resident_bytes_->Set(static_cast<int64_t>(store_.resident_bytes()));
+  // The metadata walk visits every key; re-walking only after another
+  // KeyCount() applies keeps its cost per apply constant as keys grow.
+  if (writes_applied_ >= meta_refresh_due_) {
+    m_store_meta_bytes_->Set(static_cast<int64_t>(store_.MetaBytes()));
+    meta_refresh_due_ = writes_applied_ + store_.KeyCount();
+  }
   m_engine_log_bytes_->Set(static_cast<int64_t>(es.log_bytes));
   if (es.compactions > engine_compactions_published_) {
     m_engine_compactions_->Inc(es.compactions - engine_compactions_published_);
@@ -1917,11 +1924,15 @@ std::string ChainReactionNode::StatusJson() const {
   }
   const StorageEngineStats es = store_.engine()->Stats();
   const uint64_t lookups = store_.cache_hits() + store_.cache_misses();
+  const uint64_t meta_bytes = store_.MetaBytes();
+  if (m_store_meta_bytes_ != nullptr) {
+    m_store_meta_bytes_->Set(static_cast<int64_t>(meta_bytes));
+  }
   // Per-range migration state: what the source still has queued vs already
   // shipped, and how much this node absorbed as a target.
   const size_t mig_pending =
       mig_src_ != nullptr ? mig_src_->pending.size() - mig_src_->cursor : 0;
-  char buf[1152];
+  char buf[1280];
   std::snprintf(
       buf, sizeof(buf),
       "{\"node\":%u,\"dc\":%u,\"epoch\":%llu,"
@@ -1932,7 +1943,7 @@ std::string ChainReactionNode::StatusJson() const {
       "\"migration\":{\"source_active\":%s,\"keys_pending\":%zu,"
       "\"entries_out\":%llu,\"entries_in\":%llu,\"inflows\":%zu},"
       "\"store\":{\"engine\":\"%s\",\"resident_versions\":%llu,"
-      "\"resident_bytes\":%llu,\"log_bytes\":%llu,\"compactions\":%llu,"
+      "\"resident_bytes\":%llu,\"meta_bytes\":%llu,\"log_bytes\":%llu,\"compactions\":%llu,"
       "\"cache_hit_pct\":%llu},"
       "\"store_keys\":%zu,\"gated_puts\":%zu,\"deferred_gets\":%zu,"
       "\"events_emitted\":%llu}",
@@ -1948,7 +1959,7 @@ std::string ChainReactionNode::StatusJson() const {
       StorageEngineKindName(store_.engine()->kind()),
       static_cast<unsigned long long>(store_.resident_versions()),
       static_cast<unsigned long long>(store_.resident_bytes()),
-      static_cast<unsigned long long>(es.log_bytes),
+      static_cast<unsigned long long>(meta_bytes), static_cast<unsigned long long>(es.log_bytes),
       static_cast<unsigned long long>(es.compactions),
       static_cast<unsigned long long>(lookups == 0 ? 0 : store_.cache_hits() * 100 / lookups),
       store_.KeyCount(), gated_puts_.size(), deferred_gets_.size(),

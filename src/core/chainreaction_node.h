@@ -521,6 +521,9 @@ class ChainReactionNode : public Actor {
   LatencyMetric* m_notify_hold_ = nullptr;
   Gauge* m_store_resident_versions_ = nullptr;
   Gauge* m_store_resident_bytes_ = nullptr;
+  Gauge* m_store_meta_bytes_ = nullptr;
+  // writes_applied_ count at which the O(keys) metadata walk is next due.
+  uint64_t meta_refresh_due_ = 0;
   Gauge* m_engine_log_bytes_ = nullptr;
   Counter* m_engine_compactions_ = nullptr;
   Gauge* m_engine_cache_hit_ratio_ = nullptr;

@@ -141,6 +141,7 @@ void TcpRuntime::AttachMetrics(MetricsRegistry* metrics) {
   m_bytes_received_ = metrics->GetCounter("crx_net_bytes_received", labels);
   m_writev_calls_ = metrics->GetCounter("crx_net_writev_calls", labels);
   m_writev_frames_ = metrics->GetCounter("crx_net_writev_frames", labels);
+  m_loop_wakeups_ = metrics->GetCounter("crx_net_loop_wakeups", labels);
   m_outbox_bytes_ = metrics->GetGauge("crx_net_outbox_bytes", labels);
 }
 
@@ -231,6 +232,11 @@ void TcpRuntime::Loop(Shard* shard) {
       fds.push_back({conn->fd, events, 0});
     }
 
+    // Cancelled timers (one per completed client op) stay in the heap until
+    // they reach the top; pop them so only a live timer ends the sleep.
+    while (!shard->timers.empty() && shard->cancelled_timers.Erase(shard->timers.top().id)) {
+      shard->timers.pop();
+    }
     int timeout_ms = kMaxPollMs;
     if (!shard->timers.empty()) {
       timeout_ms = PollTimeoutMs(shard->timers.top().at - NowMicros());
@@ -245,6 +251,10 @@ void TcpRuntime::Loop(Shard* shard) {
       }
     }
     const int n = poll(fds.data(), fds.size(), timeout_ms);
+    loop_wakeups_.fetch_add(1, std::memory_order_relaxed);
+    if (m_loop_wakeups_ != nullptr) {
+      m_loop_wakeups_->Inc();
+    }
     if (n < 0) {
       if (errno == EINTR) {
         continue;

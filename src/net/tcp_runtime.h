@@ -85,6 +85,9 @@ class TcpRuntime {
   uint64_t frames_received() const { return frames_received_.load(); }
   uint64_t writev_calls() const { return writev_calls_.load(); }
   uint64_t writev_frames() const { return writev_frames_.load(); }
+  // poll() returns across all shards: every time a loop woke, whether for
+  // I/O, posted work, a timer, or the kMaxPollMs cap.
+  uint64_t loop_wakeups() const { return loop_wakeups_.load(std::memory_order_relaxed); }
 
   // Longest poll() sleep, in milliseconds, also used when no timer is armed.
   static constexpr int kMaxPollMs = 50;
@@ -313,6 +316,7 @@ class TcpRuntime {
   std::atomic<uint64_t> frames_received_{0};
   std::atomic<uint64_t> writev_calls_{0};
   std::atomic<uint64_t> writev_frames_{0};
+  std::atomic<uint64_t> loop_wakeups_{0};
 
   // Observability (null until AttachMetrics).
   Counter* m_frames_sent_ = nullptr;
@@ -321,6 +325,7 @@ class TcpRuntime {
   Counter* m_bytes_received_ = nullptr;
   Counter* m_writev_calls_ = nullptr;
   Counter* m_writev_frames_ = nullptr;
+  Counter* m_loop_wakeups_ = nullptr;
   Gauge* m_outbox_bytes_ = nullptr;
 };
 

@@ -8,7 +8,6 @@
 #ifndef SRC_RING_RING_H_
 #define SRC_RING_RING_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -28,7 +27,10 @@ class Ring {
   Ring(std::vector<NodeId> nodes, uint32_t vnodes_per_node, uint32_t replication,
        uint64_t epoch = 0, std::vector<uint32_t> weights = {});
 
-  // The chain (head first) for `key`. Stable for a given membership.
+  // The chain (head first) for `key`: the chain of the ring segment the
+  // key's hash falls in. Stable for a given membership. Allocation-free and
+  // read-only, so a const Ring may be shared across threads. Aborts on an
+  // empty (default-constructed) ring.
   const std::vector<NodeId>& ChainFor(const Key& key) const;
 
   NodeId HeadFor(const Key& key) const { return ChainFor(key).front(); }
@@ -44,10 +46,10 @@ class Ring {
 
   bool Contains(NodeId node) const;
 
-  // One replication chain per ring segment (the arc owned by each vnode
-  // point), head first, in ring order. Telemetry/status only — O(points*R),
-  // not for the request path.
-  std::vector<std::vector<NodeId>> SegmentChains() const;
+  // One replication chain per ring segment (the arc ending at each vnode
+  // point), head first, in ring order. Built once by the constructor; this
+  // is the table ChainFor indexes on the request path.
+  const std::vector<std::vector<NodeId>>& SegmentChains() const { return segment_chains_; }
 
   const std::vector<NodeId>& nodes() const { return nodes_; }
   // Per-node vnode counts, parallel to nodes() (filled with the default
@@ -68,18 +70,12 @@ class Ring {
     }
   };
 
-  std::vector<NodeId> ComputeChain(const Key& key) const;
-
   std::vector<NodeId> nodes_;
   std::vector<uint32_t> weights_;  // parallel to nodes_
   std::vector<Point> points_;  // sorted
   uint32_t replication_ = 1;
   uint64_t epoch_ = 0;
-
-  // Chain lookups are on the hot path of every simulated op; memoize per
-  // key. The Ring is immutable after construction, so entries never go
-  // stale. Not thread-safe: each actor owns its Ring copy.
-  mutable std::unordered_map<Key, std::vector<NodeId>> chain_cache_;
+  std::vector<std::vector<NodeId>> segment_chains_;  // parallel to points_
 };
 
 }  // namespace chainreaction

@@ -334,6 +334,19 @@ uint64_t VersionedStore::resident_versions() const {
   return engine_->inline_values() ? total_versions_ : lru_.size();
 }
 
+uint64_t VersionedStore::MetaBytes() const {
+  uint64_t bytes = 0;
+  for (const auto& [key, ks] : table_) {
+    bytes += ks.versions.capacity() * sizeof(StoredVersion) + key.size();
+    for (const StoredVersion& sv : ks.versions) {
+      if (sv.deps.capacity() > StoredVersion::kInlineDeps) {
+        bytes += sv.deps.capacity() * sizeof(Dependency);
+      }
+    }
+  }
+  return bytes;
+}
+
 void VersionedStore::TrackUnstable(const Version& v) {
   if (wm_tracking_ && v.origin == wm_origin_) {
     auto [it, fresh] = unstable_lamports_cache_.Claim(unstable_lamports_, v.lamport);

@@ -45,20 +45,27 @@
 
 namespace chainreaction {
 
+// One retained version of one key. Its size is the per-version floor of
+// the store's memory (every key-replica keeps a vector of these, with
+// capacity settling at two), so fields are ordered to leave no padding
+// holes and the inline dependency capacity is one (DESIGN.md §11).
 struct StoredVersion {
   Value value;  // empty when a disk engine holds the bytes and !resident
   Version version;
   bool stable = false;
+  // Engine bookkeeping flags (disk engine only; dormant under the mem
+  // engine). Packed here, into the padding after `version`.
+  bool resident = true;  // `value` holds the bytes
+  bool cached = false;   // on the store's LRU list
   // Write-time dependency list (served to multi-get read transactions).
-  // Inline capacity 2: the client's accessed-set collapses to one entry per
-  // acked write, so nearly every stored list fits without a heap block —
-  // the apply path stays at one allocation (the value copy) per replica.
-  SmallVector<Dependency, 2> deps;
+  // Inline capacity 1: with the stable watermark the client's accessed-set
+  // collapses to the last acked write, so a stored list is almost always
+  // 0 or 1 entries; longer lists spill to one heap block.
+  static constexpr size_t kInlineDeps = 1;
+  SmallVector<Dependency, kInlineDeps> deps;
 
   // Engine bookkeeping (disk engine only; dormant under the mem engine).
   ValueHandle handle;
-  bool resident = true;  // `value` holds the bytes
-  bool cached = false;   // on the store's LRU list
   std::list<std::pair<Key, Version>>::iterator lru_it{};
 };
 
@@ -178,6 +185,12 @@ class VersionedStore {
   uint64_t resident_bytes() const { return inline_bytes_; }
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
+
+  // Bytes of per-key metadata: version-record slots (vector capacity) x
+  // sizeof(StoredVersion), plus key bytes, plus dependency lists spilled past
+  // the inline capacity. Walks every key — O(keys) — so it is for scrapes,
+  // not the apply path.
+  uint64_t MetaBytes() const;
 
  private:
   struct KeyState {

@@ -374,6 +374,41 @@ TEST(TcpRuntimePoll, TimeoutRoundsUpWithoutOversleeping) {
   EXPECT_EQ(TcpRuntime::PollTimeoutMs(int64_t{1} << 62), TcpRuntime::kMaxPollMs);
 }
 
+// Cancelled timers must not end a sleep: every completed client op cancels
+// its timeout timer, and a loop that sized its poll by a dead timer woke
+// once per distinct due millisecond of them. An idle runtime with 1000
+// cancelled timers due 1-40 ms out and one live timer at 60 ms should wake
+// only for the live one (plus the kMaxPollMs cap).
+TEST(TcpRuntimePoll, CancelledTimersDoNotEndASleep) {
+  class IdleActor : public Actor {
+   public:
+    void OnMessage(Address, std::string_view) override {}
+  };
+  AddressBook book;
+  TcpRuntime runtime(&book);
+  IdleActor actor;
+  Env* env = runtime.Register(1, &actor);
+  runtime.Start();
+
+  std::promise<uint64_t> armed_at;
+  std::promise<uint64_t> fired_at;
+  runtime.Post([&]() {
+    for (int i = 0; i < 1000; ++i) {
+      const uint64_t id = env->Schedule((1 + i % 40) * kMillisecond, []() {});
+      env->CancelTimer(id);
+    }
+    env->Schedule(60 * kMillisecond, [&]() { fired_at.set_value(runtime.loop_wakeups()); });
+    armed_at.set_value(runtime.loop_wakeups());
+  });
+  const uint64_t armed = armed_at.get_future().get();
+  std::future<uint64_t> fired = fired_at.get_future();
+  ASSERT_EQ(fired.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  const uint64_t wakeups = fired.get() - armed;
+  runtime.Stop();
+  EXPECT_LE(wakeups, 5u);
+  EXPECT_GE(wakeups, 1u);
+}
+
 // Wire format v2 + watermark dependency compression over real sockets: the
 // varint frames must survive the coalesced writev/parser path, and the
 // activity-gated watermark gossip (a periodic timer broadcasting to every

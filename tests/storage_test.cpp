@@ -1,8 +1,17 @@
 // Unit tests for the multi-version store: LWW ordering, idempotent applies,
-// stability marking, dependency predicates, and garbage collection.
+// stability marking, dependency predicates, garbage collection, the stored
+// record's size budget, and dependency lists surviving every durable path.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/engine/disk_engine.h"
+#include "src/storage/checkpoint.h"
 #include "src/storage/versioned_store.h"
+#include "src/wal/wal.h"
 
 namespace chainreaction {
 namespace {
@@ -167,6 +176,164 @@ TEST(VersionedStore, TotalVersionsAccounting) {
   store.MarkStable("a", V(2, 0, {2}));  // GCs version 1
   EXPECT_EQ(store.total_versions(), 2u);
 }
+
+TEST(StoredVersionLayout, RecordFitsBudget) {
+  // Every key-replica holds a vector of these (capacity settles at two), so
+  // the record's size is the per-version floor of store memory. Field costs
+  // on LP64 libstdc++:
+  //   value    std::string                                       32
+  //   version  VersionVector 56 (4 inline DCs) + lamport 8
+  //            + origin 2 (+6 padding)                           72
+  //   stable, resident, cached (+5 padding)                        8
+  //   deps     SmallVector<Dependency, 1>: 24 + one inline 112   136
+  //   handle   ValueHandle (segment, offset, length)             24
+  //   lru_it   std::list iterator                                 8
+  //                                                        total 280
+  EXPECT_LE(sizeof(StoredVersion), 288u);
+}
+
+TEST(VersionedStore, MetaBytesCountsSlotsKeysAndSpilledDeps) {
+  VersionedStore store;
+  EXPECT_EQ(store.MetaBytes(), 0u);
+  store.Apply("key-a", "1", V(1, 0, {1}));
+  const std::vector<Dependency> three = {Dependency{"x", V(1, 0, {1}), false},
+                                         Dependency{"y", V(2, 0, {2}), false},
+                                         Dependency{"z", V(3, 0, {3}), false}};
+  store.Apply("b", "2", V(2, 0, {1}), three);
+  const StoredVersion* b = store.LatestMeta("b");
+  ASSERT_NE(b, nullptr);
+  ASSERT_GT(b->deps.capacity(), StoredVersion::kInlineDeps);
+  // One slot per key (each vector holds one version), the key bytes, and
+  // the spilled three-entry list of "b".
+  EXPECT_EQ(store.MetaBytes(), 2 * sizeof(StoredVersion) + 5 + 1 +
+                                   b->deps.capacity() * sizeof(Dependency));
+}
+
+// Dependency lists of 0, 1 and 3 entries (the last spills past the inline
+// capacity) must survive Apply/Find, a checkpoint v3 save/load, and WAL
+// recovery byte for byte, under both storage engines.
+class DepRoundTripTest : public ::testing::TestWithParam<bool> {
+ protected:
+  DepRoundTripTest() {
+    dir_ = ::testing::TempDir() + "crx_storage_deps_" + (GetParam() ? "disk_" : "mem_") +
+           std::to_string(reinterpret_cast<uintptr_t>(this));
+    std::filesystem::create_directories(dir_);
+  }
+  ~DepRoundTripTest() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  // A store over the engine under test; the disk engine's value log lives in
+  // `vlog` (reopened by later stores to recover it).
+  std::unique_ptr<VersionedStore> MakeStore(const std::string& vlog) {
+    auto store = std::make_unique<VersionedStore>();
+    if (GetParam()) {
+      std::unique_ptr<StorageEngine> engine;
+      const Status st = OpenDiskEngine(vlog, DiskEngineOptions{}, &engine);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      store->AttachEngine(std::move(engine));
+    }
+    return store;
+  }
+
+  struct Entry {
+    Key key;
+    Value value;
+    Version version;
+    std::vector<Dependency> deps;
+  };
+
+  static std::vector<Entry> Entries() {
+    return {
+        {"none", "v-none", V(1, 0, {1, 0}), {}},
+        {"one", "v-one", V(2, 1, {0, 2}), {Dependency{"none", V(1, 0, {1, 0}), true}}},
+        {"three",
+         "v-three",
+         V(3, 0, {3, 1}),
+         {Dependency{"none", V(1, 0, {1, 0}), false},
+          Dependency{"one", V(2, 1, {0, 2}), true},
+          Dependency{"a-longer-dependency-key-past-sso", V(7, 1, {4, 5}), false}}},
+    };
+  }
+
+  static void ExpectEntries(const VersionedStore& store, const std::string& where) {
+    for (const Entry& e : Entries()) {
+      SCOPED_TRACE(where + " key " + e.key);
+      const StoredVersion* sv = store.Find(e.key, e.version);
+      ASSERT_NE(sv, nullptr);
+      EXPECT_EQ(sv->value, e.value);
+      EXPECT_TRUE(sv->version == e.version);
+      ASSERT_EQ(sv->deps.size(), e.deps.size());
+      for (size_t i = 0; i < e.deps.size(); ++i) {
+        EXPECT_EQ(sv->deps[i].key, e.deps[i].key);
+        EXPECT_TRUE(sv->deps[i].version == e.deps[i].version);
+        EXPECT_EQ(sv->deps[i].local_stable, e.deps[i].local_stable);
+      }
+    }
+  }
+
+  std::string dir_;
+};
+
+TEST_P(DepRoundTripTest, ApplyFind) {
+  auto store = MakeStore(dir_ + "/vlog");
+  for (const Entry& e : Entries()) {
+    ASSERT_TRUE(store->Apply(e.key, e.value, e.version, e.deps));
+  }
+  ExpectEntries(*store, "apply");
+  EXPECT_GT(store->FindMeta("three", Entries()[2].version)->deps.capacity(),
+            StoredVersion::kInlineDeps);
+}
+
+TEST_P(DepRoundTripTest, CheckpointV3) {
+  const std::string vlog = dir_ + "/vlog";
+  const std::string path = dir_ + "/checkpoint.crx";
+  {
+    auto store = MakeStore(vlog);
+    for (const Entry& e : Entries()) {
+      ASSERT_TRUE(store->Apply(e.key, e.value, e.version, e.deps));
+    }
+    ASSERT_TRUE(SaveCheckpoint(*store, path).ok());
+  }
+  auto restored = MakeStore(vlog);
+  const Status st = LoadCheckpoint(path, restored.get());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectEntries(*restored, "checkpoint");
+}
+
+TEST_P(DepRoundTripTest, WalRecovery) {
+  const std::string wal_dir = dir_ + "/wal";
+  {
+    WalOptions options;
+    options.policy = FsyncPolicy::kNone;
+    options.start_flusher_thread = false;
+    std::unique_ptr<Wal> wal;
+    ASSERT_TRUE(Wal::Open(wal_dir, options, &wal).ok());
+    for (const Entry& e : Entries()) {
+      ASSERT_TRUE(wal->Append(WalRecord::Apply(e.key, e.value, e.version, e.deps)).ok());
+    }
+    ASSERT_TRUE(wal->Flush().ok());
+  }
+  // Replay the way a restarting node does: every kApply through Apply.
+  auto recovered = MakeStore(dir_ + "/vlog");
+  WalReplayStats stats;
+  const Status st = Wal::Replay(
+      wal_dir, 0,
+      [&](const WalRecord& record) {
+        ASSERT_EQ(record.type, WalRecordType::kApply);
+        recovered->Apply(record.key, record.value, record.version, record.deps);
+      },
+      &stats);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(stats.records, Entries().size());
+  ExpectEntries(*recovered, "wal");
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, DepRoundTripTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return std::string(param.param ? "Disk" : "Mem");
+                         });
 
 }  // namespace
 }  // namespace chainreaction

@@ -305,6 +305,35 @@ TEST(FlightRecorderTest, ClusterTeardownDumpsFlightLogs) {
   EXPECT_NE(contents.find("shutdown_dump"), std::string::npos) << contents;
 }
 
+// crx_store_meta_bytes: the apply path publishes it on its own (amortized)
+// cadence, and a /status scrape recomputes it, agreeing with the store's
+// walk; every key-replica costs at least one version-record slot.
+TEST(StoreMetaBytesTest, GaugeAndStatusReportStoreMetadata) {
+  ClusterOptions opts;
+  opts.servers_per_dc = 4;
+  opts.clients_per_dc = 2;
+  Cluster cluster(opts);
+  cluster.Preload(2000, 32);
+  EXPECT_GT(cluster.metrics()->Snapshot().SumCounters("crx_store_meta_bytes"), 0);
+
+  uint64_t walked = 0;
+  uint64_t key_replicas = 0;
+  for (uint32_t i = 0; i < opts.servers_per_dc; ++i) {
+    const ChainReactionNode* node = cluster.crx_node(0, i);
+    const std::string status = node->StatusJson();
+    EXPECT_TRUE(JsonChecker::Valid(status)) << status;
+    const uint64_t meta = node->store().MetaBytes();
+    EXPECT_NE(status.find("\"meta_bytes\":" + std::to_string(meta) + ","), std::string::npos)
+        << status;
+    walked += meta;
+    key_replicas += node->store().KeyCount();
+  }
+  EXPECT_EQ(key_replicas, 2000u * opts.replication);
+  EXPECT_EQ(cluster.metrics()->Snapshot().SumCounters("crx_store_meta_bytes"),
+            static_cast<int64_t>(walked));
+  EXPECT_GE(walked, key_replicas * sizeof(StoredVersion));
+}
+
 // ---------------------------------------------------------------------------
 // Lock-free LatencyMetric.
 
