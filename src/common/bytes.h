@@ -43,15 +43,8 @@ inline size_t VarI64Size(int64_t v) { return VarU64Size(ZigZagEncode(v)); }
 // Exact wire size of a varint-length-prefixed string (wire format v2).
 inline size_t VarStringSize(std::string_view s) { return VarU64Size(s.size()) + s.size(); }
 
-// Wire framing generation. v1 is the seed format: fixed-width integers and
-// u32 string length prefixes. v2 varint-encodes the hot-path Crx messages
-// (and zig-zags signed fields) and is flagged on the frame's type tag, so a
-// decoder always knows which body layout follows. Defined here (not in
-// src/msg/) so CrxConfig can carry the knob without a layering cycle.
-enum class WireFormat : uint8_t {
-  kV1 = 0,
-  kV2 = 1,
-};
+// Exists only because the frozen perfbench still names WireFormat::kV2.
+enum class WireFormat : uint8_t { kV2 = 1 };
 
 class ByteWriter {
  public:

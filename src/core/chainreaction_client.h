@@ -187,7 +187,7 @@ class ChainReactionClient : public Actor {
   template <typename M>
   std::string Enc(const M& m) const {
     AllocPhaseScope phase(AllocPhase::kEncode);
-    return EncodeMessage(m, config_.wire_format);
+    return EncodeMessage(m);
   }
 
   Address address_;

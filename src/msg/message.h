@@ -1,15 +1,20 @@
 // Wire messages for every protocol in the repository.
 //
-// Each message is a plain struct with Encode/Decode methods and a static
-// kType tag. A serialized message is `u16 type` followed by the body; the
-// same bytes flow through the simulated network and the TCP transport.
+// A frame is a u16 type tag followed by the message body; the same bytes
+// flow through the simulated network and the TCP transport. Each message
+// struct lists its fields once, in wire order, in a static Fields()
+// template. Three generic visitors walk that list to size, encode and
+// decode the body, so no struct has a codec of its own (see "Field-list
+// visitors" below and DESIGN.md §14).
 //
-// Wire format v2 (hot-path Crx messages only): the frame is
-// `u16 (type | kWireV2Flag)` followed by a varint-encoded body produced by
-// EncodeV2(). The flag bit makes every frame self-describing — a decoder
-// never needs out-of-band knowledge of the sender's configuration, v1
-// frames keep decoding after an upgrade, and v2 frames fail cleanly (type
-// mismatch) on a v1-only decoder. See DESIGN.md §14.
+// One coding per protocol:
+//   * ChainReaction's messages (Crx*) are the hot path: varint integers,
+//     varint-length strings, and a tag that carries kWireV2Flag. A Crx
+//     frame without the flag is rejected.
+//   * Every other protocol keeps fixed-width integers and u32-length
+//     strings.
+// List counts are varints in both, and a decoder rejects a count that the
+// rest of the frame is too short to hold before it allocates anything.
 //
 // Naming convention by protocol:
 //   Crx*   — ChainReaction (the paper's system)
@@ -18,12 +23,17 @@
 //   Ev*    — eventual/quorum baseline (Cassandra stand-in)
 //   Geo*   — inter-datacenter replication
 //   Mem*   — membership / chain repair
+//   Mig*   — key-range migration
 #ifndef SRC_MSG_MESSAGE_H_
 #define SRC_MSG_MESSAGE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -101,49 +111,272 @@ enum class MsgType : uint16_t {
   kMigAbort = 85,
 };
 
-// High bit of the u16 type tag marks a wire-format-v2 body. Real type tags
+// High bit of the u16 type tag marks a varint-coded body. Real type tags
 // stay far below it, so a flagged tag can never collide with a plain one.
 inline constexpr uint16_t kWireV2Flag = 0x8000;
 
-// Returns the type tag of a serialized message (kInvalid if too short).
-// The v2 flag bit is masked off, so dispatch switches see the same MsgType
-// regardless of the body's wire format.
+// How a message body writes its integers and string lengths.
+enum class Coding : uint8_t {
+  kFixed,   // little-endian fixed width, u32 string lengths
+  kVarint,  // LEB128 varints, varint string lengths, v2 Version/trace codecs
+};
+
+// ChainReaction's own messages are the hot path and are varint-coded; the
+// baselines, geo, membership and migration messages keep fixed widths.
+constexpr Coding CodingOf(MsgType t) {
+  return t >= MsgType::kCrxPut && t < MsgType::kCrPut ? Coding::kVarint : Coding::kFixed;
+}
+
+// The u16 that leads every frame of type `t`.
+constexpr uint16_t WireTag(MsgType t) {
+  return static_cast<uint16_t>(t) | (CodingOf(t) == Coding::kVarint ? kWireV2Flag : 0);
+}
+
+// Returns the type tag of a serialized message (kInvalid if too short), with
+// kWireV2Flag masked off so dispatch switches see the plain MsgType.
 MsgType PeekType(std::string_view payload);
 
-// Wire format of a serialized message (kV1 if too short — decode will fail
-// with a honest error downstream anyway).
-WireFormat PeekWireFormat(std::string_view payload);
+// ---------------------------------------------------------------------------
+// Field-list visitors
+// ---------------------------------------------------------------------------
+//
+// A message declares its layout once:
+//
+//   template <class M, class Io>
+//   static auto Fields(M& m, Io&& io) { return io(m.req, m.key, m.deps); }
+//
+// `M` is the owned struct or its view (same member names) and may be const;
+// `io` is one of the visitors below. How each field is coded follows from
+// its C++ type and the frame's Coding:
+//   bool                 one byte
+//   unsigned integer     varint, or fixed at its own width
+//   string, string_view  varint or u32 length prefix, then the bytes
+//   Version, Dependency, TraceContext   their own varint (V2) or fixed codec
+//   vector, DepList      varint count, then each element
+//   any other struct     its own field list, in the enclosing frame's coding
+namespace wire {
 
-// Hot-path messages implement EncodedSize() so the writer can allocate the
-// final buffer in one shot (no growth reallocations mid-encode). Messages
-// with an EncodeV2()/EncodedSizeV2() pair can be asked for a v2 frame;
-// types without one (control plane, baselines) always encode v1.
-template <typename M>
-std::string EncodeMessage(const M& m, WireFormat wf = WireFormat::kV1) {
-  ByteWriter w;
-  if constexpr (requires(ByteWriter* pw) {
-                  m.EncodeV2(pw);
-                  m.EncodedSizeV2();
-                }) {
-    if (wf == WireFormat::kV2) {
-      w.Reserve(2 + m.EncodedSizeV2());
-      w.PutU16(static_cast<uint16_t>(M::kType) | kWireV2Flag);
-      m.EncodeV2(&w);
-      return w.Take();
+template <class T>
+concept StringField = std::is_same_v<T, std::string> || std::is_same_v<T, std::string_view>;
+
+// Types with their own codec pair for each coding: Version, Dependency and
+// TraceContext (the WAL and checkpoint reuse the fixed-width Version one).
+template <class T>
+concept LeafCodec = requires(const T& v, ByteWriter* w) { v.EncodeV2(w); };
+
+template <class T>
+concept ListField = !StringField<T> && requires(T& v) {
+  v.size();
+  v.resize(0);
+  v[0];
+};
+
+template <class T>
+concept Scalar = std::is_integral_v<T> && std::is_unsigned_v<T>;
+
+template <Coding C>
+struct Sizer {
+  template <class... F>
+  size_t operator()(const F&... f) const {
+    return (Of(f) + ... + size_t{0});
+  }
+
+  template <class T>
+  static size_t Of(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      return 1;
+    } else if constexpr (Scalar<T>) {
+      return C == Coding::kVarint ? VarU64Size(v) : sizeof(T);
+    } else if constexpr (StringField<T>) {
+      return C == Coding::kVarint ? VarStringSize(v) : 4 + v.size();
+    } else if constexpr (LeafCodec<T>) {
+      return C == Coding::kVarint ? v.EncodedSizeV2() : v.EncodedSize();
+    } else if constexpr (ListField<T>) {
+      size_t n = VarU64Size(v.size());
+      for (const auto& e : v) {
+        n += Of(e);
+      }
+      return n;
+    } else {
+      return T::Fields(v, Sizer{});
     }
   }
-  if constexpr (requires { m.EncodedSize(); }) {
-    w.Reserve(2 + m.EncodedSize());
+};
+
+// Smallest encoding any value of T can have. A default scalar, string, list
+// or leaf value already encodes at the minimum (zero is a one-byte varint;
+// the null version and an untraced context are the shortest of their
+// kind); a struct sums its fields' minima whatever its defaults are.
+template <Coding C, class T>
+size_t MinSize() {
+  if constexpr (std::is_same_v<T, bool> || Scalar<T> || StringField<T> || LeafCodec<T> ||
+                ListField<T>) {
+    return Sizer<C>::Of(T{});
+  } else {
+    T t;
+    return T::Fields(t, [](const auto&... f) {
+      return (MinSize<C, std::remove_cvref_t<decltype(f)>>() + ... + size_t{0});
+    });
   }
-  w.PutU16(static_cast<uint16_t>(M::kType));
-  m.Encode(&w);
+}
+
+// Computed once at start-up, so the list decoder reads a plain constant
+// (a function-local static would pay its init guard on every list).
+template <Coding C, class T>
+inline const size_t kMinSize = MinSize<C, T>();
+
+template <Coding C>
+struct Writer {
+  ByteWriter* w;
+
+  template <class... F>
+  void operator()(const F&... f) const {
+    (Put(f), ...);
+  }
+
+  template <class T>
+  void Put(const T& v) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      w->PutBool(v);
+    } else if constexpr (Scalar<T> && C == Coding::kVarint) {
+      w->PutVarU64(v);
+    } else if constexpr (Scalar<T>) {
+      static_assert(sizeof(T) == 2 || sizeof(T) == 4 || sizeof(T) == 8);
+      if constexpr (sizeof(T) == 2) {
+        w->PutU16(v);
+      } else if constexpr (sizeof(T) == 4) {
+        w->PutU32(v);
+      } else {
+        w->PutU64(v);
+      }
+    } else if constexpr (StringField<T>) {
+      C == Coding::kVarint ? w->PutStringViewVar(v) : w->PutStringView(v);
+    } else if constexpr (LeafCodec<T>) {
+      C == Coding::kVarint ? v.EncodeV2(w) : v.Encode(w);
+    } else if constexpr (ListField<T>) {
+      w->PutVarU64(v.size());
+      for (const auto& e : v) {
+        Put(e);
+      }
+    } else {
+      T::Fields(v, *this);
+    }
+  }
+};
+
+template <Coding C>
+struct Reader {
+  ByteReader* r;
+
+  template <class... F>
+  bool operator()(F&... f) const {
+    return (Get(f) && ...);
+  }
+
+  // Forced inline: left to itself GCC keeps some fields as calls, and the
+  // chain-put view decode measured ~15% slower than one flat function.
+  template <class T>
+  [[gnu::always_inline]] bool Get(T& v) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      return r->GetBool(&v);
+    } else if constexpr (Scalar<T> && C == Coding::kVarint) {
+      uint64_t x = 0;
+      if (!r->GetVarU64(&x) || x > std::numeric_limits<T>::max()) {
+        return false;
+      }
+      v = static_cast<T>(x);
+      return true;
+    } else if constexpr (Scalar<T>) {
+      if constexpr (sizeof(T) == 2) {
+        return r->GetU16(&v);
+      } else if constexpr (sizeof(T) == 4) {
+        return r->GetU32(&v);
+      } else {
+        return r->GetU64(&v);
+      }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      return C == Coding::kVarint ? r->GetStringVar(&v) : r->GetString(&v);
+    } else if constexpr (std::is_same_v<T, std::string_view>) {
+      return C == Coding::kVarint ? r->GetStringViewVar(&v) : r->GetStringView(&v);
+    } else if constexpr (LeafCodec<T>) {
+      return C == Coding::kVarint ? v.DecodeV2(r) : v.Decode(r);
+    } else if constexpr (ListField<T>) {
+      // Bound the count by what the rest of the frame could hold before
+      // resizing, so a short frame cannot claim a huge allocation (checking
+      // n against remaining() first keeps the product from overflowing).
+      using Elem = std::remove_cvref_t<decltype(v[0])>;
+      const size_t min_elem = kMinSize<C, Elem>;
+      uint64_t n = 0;
+      if (!r->GetVarU64(&n) || n > r->remaining() || n * min_elem > r->remaining()) {
+        return false;
+      }
+      v.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (!Get(v[i])) {
+          return false;
+        }
+      }
+      return true;
+    } else {
+      return T::Fields(v, *this);
+    }
+  }
+};
+
+template <class D, class S>
+void AssignField(D& d, const S& s) {
+  if constexpr (std::is_assignable_v<D&, const S&>) {
+    d = s;
+  } else {
+    d.assign(s.begin(), s.end());  // DepList <-> std::vector<Dependency>
+  }
+}
+
+// Field-by-field copy between two structs that share one field list (an
+// owned message and its view): strings become views or copies, dep lists
+// change container.
+template <class To, class From>
+To ConvertFields(const From& src) {
+  const auto tie = [](auto&... f) { return std::tie(f...); };
+  To dst;
+  auto d = To::Fields(dst, tie);
+  const auto s = From::Fields(src, tie);
+  [&]<size_t... I>(std::index_sequence<I...>) {
+    (AssignField(std::get<I>(d), std::get<I>(s)), ...);
+  }(std::make_index_sequence<std::tuple_size_v<decltype(d)>>());
+  return dst;
+}
+
+}  // namespace wire
+
+// The fixed-coded dependency list of the WAL and checkpoint records (the
+// same bytes a fixed-coded message writes for one).
+template <typename List>
+void EncodeDeps(const List& deps, ByteWriter* w) {
+  wire::Writer<Coding::kFixed>{w}.Put(deps);
+}
+
+template <typename List>
+bool DecodeDeps(ByteReader* r, List* deps) {
+  return wire::Reader<Coding::kFixed>{r}.Get(*deps);
+}
+
+// Frames `m`: its tag, then its body in its protocol's coding, written into
+// one exactly-sized allocation.
+// The WireFormat argument is unused; it exists only for the frozen perfbench.
+template <typename M>
+std::string EncodeMessage(const M& m, WireFormat = WireFormat::kV2) {
+  constexpr Coding kCoding = CodingOf(M::kType);
+  ByteWriter w;
+  w.Reserve(2 + M::Fields(m, wire::Sizer<kCoding>{}));
+  w.PutU16(WireTag(M::kType));
+  M::Fields(m, wire::Writer<kCoding>{&w});
   return w.Take();
 }
 
-// Decodes `payload` into `out`; fails on type mismatch or truncation. A
-// frame whose tag carries kWireV2Flag is decoded with DecodeV2() — the
-// receiver accepts both formats unconditionally, which is what makes the
-// `wire_format` knob safe to flip per deployment (mixed traffic decodes).
+// Decodes `payload` into `out`; fails on a tag other than WireTag(M::kType)
+// (so a Crx frame without kWireV2Flag is rejected), on truncation and on
+// out-of-range values.
 //
 // Also accepts the *View structs below: their string fields then alias
 // `payload`, so the decoded message is valid only while the frame buffer
@@ -151,86 +384,9 @@ std::string EncodeMessage(const M& m, WireFormat wf = WireFormat::kV1) {
 template <typename M>
 bool DecodeMessage(std::string_view payload, M* out) {
   ByteReader r(payload.data(), payload.size());
-  uint16_t type = 0;
-  if (!r.GetU16(&type)) {
-    return false;
-  }
-  if (type == static_cast<uint16_t>(M::kType)) {
-    return out->Decode(&r);
-  }
-  if constexpr (requires(ByteReader* pr) { out->DecodeV2(pr); }) {
-    if (type == (static_cast<uint16_t>(M::kType) | kWireV2Flag)) {
-      return out->DecodeV2(&r);
-    }
-  }
-  return false;
-}
-
-// Dependency-list codecs, generic over the container (std::vector in the
-// owned structs, the inline-capacity DepList in the hot-path view structs).
-template <typename List>
-void EncodeDeps(const List& deps, ByteWriter* w) {
-  w->PutVarU64(deps.size());
-  for (const Dependency& d : deps) {
-    d.Encode(w);
-  }
-}
-
-template <typename List>
-bool DecodeDeps(ByteReader* r, List* deps) {
-  uint64_t n = 0;
-  if (!r->GetVarU64(&n) || n > (1u << 20)) {
-    return false;
-  }
-  deps->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!(*deps)[i].Decode(r)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-template <typename List>
-size_t EncodedDepsSize(const List& deps) {
-  size_t n = VarU64Size(deps.size());
-  for (const Dependency& d : deps) {
-    n += d.EncodedSize();
-  }
-  return n;
-}
-
-// v2 variants: varint count, v2-encoded entries.
-template <typename List>
-void EncodeDepsV2(const List& deps, ByteWriter* w) {
-  w->PutVarU64(deps.size());
-  for (const Dependency& d : deps) {
-    d.EncodeV2(w);
-  }
-}
-
-template <typename List>
-bool DecodeDepsV2(ByteReader* r, List* deps) {
-  uint64_t n = 0;
-  if (!r->GetVarU64(&n) || n > (1u << 20)) {
-    return false;
-  }
-  deps->resize(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (!(*deps)[i].DecodeV2(r)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-template <typename List>
-size_t EncodedDepsSizeV2(const List& deps) {
-  size_t n = VarU64Size(deps.size());
-  for (const Dependency& d : deps) {
-    n += d.EncodedSizeV2();
-  }
-  return n;
+  uint16_t tag = 0;
+  return r.GetU16(&tag) && tag == WireTag(M::kType) &&
+         M::Fields(*out, wire::Reader<CodingOf(M::kType)>{&r});
 }
 
 // ---------------------------------------------------------------------------
@@ -250,19 +406,17 @@ struct CrxPut {
   // Observability header: nonzero id marks a sampled request; hops
   // accumulate along the write path (src/obs/trace.h).
   TraceContext trace;
-  // Watermark dep compression (v2 frames only): the cluster stable
-  // watermark the client compressed `deps` against, and the membership
-  // epoch it is valid for. Deps covered by the watermark were dropped
-  // (single-DC) or pre-marked local_stable (multi-DC) before sending.
+  // Watermark dep compression: the cluster stable watermark the client
+  // compressed `deps` against, and the membership epoch it is valid for.
+  // Deps covered by the watermark were dropped (single-DC) or pre-marked
+  // local_stable (multi-DC) before sending.
   uint64_t wm_epoch = 0;
   uint64_t dep_wm = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.req, m.client, m.key, m.value, m.deps, m.trace, m.wm_epoch, m.dep_wm);
+  }
 };
 
 // Node at position k -> client: the write is k-stable.
@@ -273,17 +427,15 @@ struct CrxPutAck {
   Version version;
   ChainIndex acked_at = 0;  // chain position that acknowledged (== k)
   TraceContext trace;       // hops up to (and including) the acking node
-  // v2 frames piggyback the acking node's cluster stable-watermark estimate
+  // Piggybacks the acking node's cluster stable-watermark estimate
   // (and the epoch it is valid for) so the client can compress future deps.
   uint64_t wm_epoch = 0;
   uint64_t stable_wm = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.req, m.key, m.version, m.acked_at, m.trace, m.wm_epoch, m.stable_wm);
+  }
 };
 
 // Node at position k -> client: cumulative acknowledgement. With ack
@@ -300,12 +452,8 @@ struct CrxPutAckBatch {
   uint64_t up_to_seq = 0;
   std::vector<CrxPutAck> acks;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.up_to_seq, m.acks); }
 };
 
 // Client -> any node in its allowed chain prefix.
@@ -321,11 +469,10 @@ struct CrxGet {
   // dependency list (to compute the causal snapshot; DESIGN.md §3.8).
   bool with_deps = false;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.req, m.client, m.key, m.min_version, m.with_deps);
+  }
 };
 
 struct CrxGetReply {
@@ -338,16 +485,15 @@ struct CrxGetReply {
   ChainIndex position = 0;  // chain position of the answering node
   bool stable = false;      // version is DC-Write-Stable
   std::vector<Dependency> deps;  // filled iff the get asked with_deps
-  // v2 frames piggyback the answering node's cluster watermark estimate.
+  // Piggybacks the answering node's cluster watermark estimate.
   uint64_t wm_epoch = 0;
   uint64_t stable_wm = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.req, m.key, m.found, m.value, m.version, m.position, m.stable, m.deps, m.wm_epoch,
+              m.stable_wm);
+  }
 };
 
 // Head -> successor -> ...: down-chain propagation of one write. The node at
@@ -368,16 +514,15 @@ struct CrxChainPut {
   uint64_t chain_seq = 0;
   std::vector<Dependency> deps;  // shipped to the geo replicator at the tail
   TraceContext trace;     // per-hop annotations of the traced write
-  // v2 frames piggyback the sender's own stable cut (valid for `epoch`) so
+  // Piggybacks the sender's own stable cut (valid for `epoch`) so
   // chain neighbors learn each other's watermark from hot-path traffic.
   uint64_t stable_cut = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.key, m.value, m.version, m.client, m.req, m.ack_at, m.epoch, m.chain_seq, m.deps,
+              m.trace, m.stable_cut);
+  }
 };
 
 // Tail -> predecessor -> ... -> head: version became DC-Write-Stable.
@@ -386,14 +531,11 @@ struct CrxStableNotify {
   Key key;
   Version version;
   uint64_t epoch = 0;
-  // v2 frames piggyback the sender's own stable cut (valid for `epoch`).
+  // Piggybacks the sender's own stable cut (valid for `epoch`).
   uint64_t stable_cut = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.version, m.epoch, m.stable_cut); }
 };
 
 // Head of a writing chain -> tail of a dependency's chain: "tell me when
@@ -404,11 +546,8 @@ struct CrxStabilityCheck {
   Version version;
   uint64_t token = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.version, m.token); }
 };
 
 struct CrxStabilityConfirm {
@@ -416,11 +555,8 @@ struct CrxStabilityConfirm {
   uint64_t token = 0;
   Key key;  // which dependency this confirms (idempotent per-dep tracking)
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.token, m.key); }
 };
 
 // Node -> every ring peer: low-rate direct gossip of the sender's stable
@@ -436,24 +572,21 @@ struct CrxWatermark {
   uint64_t cut = 0;     // all local-origin versions with lamport <= cut are
                         // DC-Write-Stable at the sender
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.node, m.epoch, m.cut); }
 };
 
 // ---------------------------------------------------------------------------
 // Zero-copy view decoding for the hot-path Crx structs
 // ---------------------------------------------------------------------------
 //
-// The *View structs mirror their owned counterparts field for field, but
-// key/value are std::string_view aliases into the frame buffer and the
-// dependency list is an inline-capacity DepList — decoding a common put
-// touches the allocator zero times. They decode BOTH wire formats (the
-// DecodeMessage dispatch is format-blind) and encode byte-identically to
-// the owned structs, which is what lets a chain node re-encode its forward
-// frame straight from the inbound views without materializing the value.
+// Each *View struct has its owned counterpart's member names and reuses its
+// field list; only the member types differ. key/value are std::string_view
+// aliases into the frame buffer and the dependency list is an
+// inline-capacity DepList, so decoding a common put touches the allocator
+// zero times. Sharing the list is what makes a view encode byte-identically
+// to its owned struct, which lets a chain node re-encode its forward frame
+// straight from the inbound view without materializing the value.
 //
 // LIFETIME RULES (DESIGN.md §15):
 //   * A decoded view is valid only while the source buffer is alive and
@@ -475,17 +608,13 @@ struct CrxPutView {
   uint64_t wm_epoch = 0;
   uint64_t dep_wm = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return CrxPut::Fields(m, io); }
 
   // Materializes an owned copy (for parking past the view's lifetime).
-  CrxPut ToOwned() const;
+  CrxPut ToOwned() const { return wire::ConvertFields<CrxPut>(*this); }
   // Views into an owned message (single code path for park-and-replay).
-  static CrxPutView From(const CrxPut& m);
+  static CrxPutView From(const CrxPut& m) { return wire::ConvertFields<CrxPutView>(m); }
 };
 
 struct CrxChainPutView {
@@ -502,15 +631,13 @@ struct CrxChainPutView {
   TraceContext trace;
   uint64_t stable_cut = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return CrxChainPut::Fields(m, io); }
 
-  CrxChainPut ToOwned() const;
-  static CrxChainPutView From(const CrxChainPut& m);
+  CrxChainPut ToOwned() const { return wire::ConvertFields<CrxChainPut>(*this); }
+  static CrxChainPutView From(const CrxChainPut& m) {
+    return wire::ConvertFields<CrxChainPutView>(m);
+  }
 };
 
 struct CrxGetView {
@@ -521,17 +648,13 @@ struct CrxGetView {
   Version min_version;
   bool with_deps = false;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return CrxGet::Fields(m, io); }
 
   // Materializes an owned copy (for parking past the view's lifetime).
-  CrxGet ToOwned() const;
+  CrxGet ToOwned() const { return wire::ConvertFields<CrxGet>(*this); }
   // Views into an owned message (single code path for park-and-replay).
-  static CrxGetView From(const CrxGet& m);
+  static CrxGetView From(const CrxGet& m) { return wire::ConvertFields<CrxGetView>(m); }
 };
 
 struct CrxGetReplyView {
@@ -547,12 +670,8 @@ struct CrxGetReplyView {
   uint64_t wm_epoch = 0;
   uint64_t stable_wm = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
-  void EncodeV2(ByteWriter* w) const;
-  bool DecodeV2(ByteReader* r);
-  size_t EncodedSizeV2() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return CrxGetReply::Fields(m, io); }
 };
 
 // ---------------------------------------------------------------------------
@@ -566,8 +685,8 @@ struct CrPut {
   Key key;
   Value value;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.client, m.key, m.value); }
 };
 
 struct CrChainPut {
@@ -578,8 +697,8 @@ struct CrChainPut {
   Address client = 0;
   RequestId req = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.value, m.seq, m.client, m.req); }
 };
 
 struct CrPutAck {
@@ -588,8 +707,8 @@ struct CrPutAck {
   Key key;
   uint64_t seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.key, m.seq); }
 };
 
 // Tail -> ... -> head: FAWN-KV propagates write acks back up the chain (the
@@ -602,8 +721,8 @@ struct CrChainAck {
   Address client = 0;
   RequestId req = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.seq, m.client, m.req); }
 };
 
 struct CrGet {
@@ -612,8 +731,8 @@ struct CrGet {
   Address client = 0;
   Key key;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.client, m.key); }
 };
 
 struct CrGetReply {
@@ -624,8 +743,8 @@ struct CrGetReply {
   Value value;
   uint64_t seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.key, m.found, m.value, m.seq); }
 };
 
 // ---------------------------------------------------------------------------
@@ -639,8 +758,8 @@ struct CraqPut {
   Key key;
   Value value;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.client, m.key, m.value); }
 };
 
 struct CraqChainPut {
@@ -651,8 +770,8 @@ struct CraqChainPut {
   Address client = 0;
   RequestId req = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.value, m.seq, m.client, m.req); }
 };
 
 // Tail -> ... -> head after commit so nodes can mark the version clean.
@@ -661,8 +780,8 @@ struct CraqCommit {
   Key key;
   uint64_t seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.seq); }
 };
 
 struct CraqPutAck {
@@ -671,8 +790,8 @@ struct CraqPutAck {
   Key key;
   uint64_t seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.key, m.seq); }
 };
 
 struct CraqGet {
@@ -681,8 +800,8 @@ struct CraqGet {
   Address client = 0;
   Key key;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.client, m.key); }
 };
 
 struct CraqGetReply {
@@ -693,8 +812,8 @@ struct CraqGetReply {
   Value value;
   uint64_t seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.key, m.found, m.value, m.seq); }
 };
 
 // Non-tail node with a dirty version -> tail: which seq is committed?
@@ -704,8 +823,8 @@ struct CraqVersionQuery {
   RequestId req = 0;    // original client request, echoed in the reply
   Address client = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.req, m.client); }
 };
 
 struct CraqVersionReply {
@@ -715,8 +834,8 @@ struct CraqVersionReply {
   RequestId req = 0;
   Address client = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.committed_seq, m.req, m.client); }
 };
 
 // ---------------------------------------------------------------------------
@@ -730,8 +849,8 @@ struct EvPut {
   Key key;
   Value value;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.client, m.key, m.value); }
 };
 
 struct EvReplicate {
@@ -741,16 +860,16 @@ struct EvReplicate {
   Version version;
   uint64_t token = 0;  // nonzero when the coordinator counts acks (quorum)
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.value, m.version, m.token); }
 };
 
 struct EvReplicateAck {
   static constexpr MsgType kType = MsgType::kEvReplicateAck;
   uint64_t token = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.token); }
 };
 
 struct EvPutAck {
@@ -759,8 +878,8 @@ struct EvPutAck {
   Key key;
   Version version;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.key, m.version); }
 };
 
 struct EvGet {
@@ -769,8 +888,8 @@ struct EvGet {
   Address client = 0;
   Key key;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.client, m.key); }
 };
 
 struct EvGetReply {
@@ -781,8 +900,8 @@ struct EvGetReply {
   Value value;
   Version version;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.req, m.key, m.found, m.value, m.version); }
 };
 
 struct EvReadQuery {
@@ -790,8 +909,8 @@ struct EvReadQuery {
   uint64_t token = 0;
   Key key;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.token, m.key); }
 };
 
 struct EvReadReply {
@@ -802,8 +921,8 @@ struct EvReadReply {
   Value value;
   Version version;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.token, m.key, m.found, m.value, m.version); }
 };
 
 // ---------------------------------------------------------------------------
@@ -823,9 +942,10 @@ struct GeoLocalStable {
   std::vector<Dependency> deps;
   TraceContext trace;  // carried so geo shipping extends the put's trace
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.key, m.version, m.has_payload, m.value, m.deps, m.trace);
+  }
 };
 
 // Replicator -> tail: the GeoLocalStable notification for (key, version)
@@ -835,8 +955,8 @@ struct GeoLocalStableAck {
   Key key;
   Version version;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.version); }
 };
 
 // Origin replicator -> peer replicator, FIFO per channel.
@@ -850,9 +970,10 @@ struct GeoShip {
   std::vector<Dependency> deps;
   TraceContext trace;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.origin_dc, m.channel_seq, m.key, m.value, m.version, m.deps, m.trace);
+  }
 };
 
 // Origin replicator -> peer replicator: several stable versions shipped in
@@ -865,9 +986,8 @@ struct GeoShipBatch {
   static constexpr MsgType kType = MsgType::kGeoShipBatch;
   std::vector<GeoShip> ships;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.ships); }
 };
 
 // Peer replicator -> origin replicator: the update is applied (and locally
@@ -877,8 +997,8 @@ struct GeoApplied {
   DcId dest_dc = 0;
   uint64_t channel_seq = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.dest_dc, m.channel_seq); }
 };
 
 // Remote replicator -> local chain head: inject a dependency-cleared remote
@@ -891,9 +1011,8 @@ struct GeoRemotePut {
   std::vector<Dependency> deps;  // preserved for multi-get snapshots
   TraceContext trace;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
-  size_t EncodedSize() const;
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.key, m.value, m.version, m.deps, m.trace); }
 };
 
 // ---------------------------------------------------------------------------
@@ -913,8 +1032,8 @@ struct MemNewMembership {
   // MemSyncKey pushes to them (the migration already transferred the data).
   std::vector<NodeId> pre_synced;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.epoch, m.nodes, m.weights, m.pre_synced); }
 };
 
 // Node -> membership service: liveness heartbeat (when failure detection
@@ -923,8 +1042,8 @@ struct MemHeartbeat {
   static constexpr MsgType kType = MsgType::kMemHeartbeat;
   NodeId node = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.node); }
 };
 
 // Chain predecessor -> newly added chain member: state transfer of one key.
@@ -936,8 +1055,8 @@ struct MemSyncKey {
   Version version;
   bool stable = false;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.epoch, m.key, m.value, m.version, m.stable); }
 };
 
 // Established node -> node added in `epoch`: all repair pushes for that
@@ -950,8 +1069,8 @@ struct MemSyncDone {
   uint64_t epoch = 0;
   NodeId from = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.epoch, m.from); }
 };
 
 // ---------------------------------------------------------------------------
@@ -976,8 +1095,11 @@ struct MigSnapshotRequest {
   uint32_t batch_keys = 64;      // keys streamed per self-scheduled tick
   uint64_t batch_interval = 0;   // microseconds between ticks (0 = back-to-back)
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.migration_id, m.epoch, m.planned_epoch, m.planned_nodes, m.planned_weights,
+              m.coordinator, m.batch_keys, m.batch_interval);
+  }
 };
 
 // One migrated version: full causal metadata (version, stability, write-time
@@ -992,8 +1114,10 @@ struct MigEntry {
   bool stable = false;
   std::vector<Dependency> deps;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.key, m.has_value, m.value, m.version, m.stable, m.deps);
+  }
 };
 
 // Source -> target: a batch of migrated versions. `last` marks the end of
@@ -1013,8 +1137,10 @@ struct MigKeyBatch {
   bool last = false;
   std::vector<MigEntry> entries;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.migration_id, m.epoch, m.source, m.target, m.coordinator, m.seq, m.last, m.entries);
+  }
 };
 
 // Source -> coordinator: the bulk snapshot scan finished (`targets` lists
@@ -1028,8 +1154,10 @@ struct MigSnapshotDone {
   std::vector<NodeId> targets;
   bool aborted = false;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.migration_id, m.from, m.keys_streamed, m.targets, m.aborted);
+  }
 };
 
 // Target -> coordinator: every batch of one (source, target) stream up to
@@ -1041,8 +1169,10 @@ struct MigRangeSealed {
   NodeId target = 0;
   uint64_t entries_applied = 0;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.migration_id, m.source, m.target, m.entries_applied);
+  }
 };
 
 // Coordinator -> membership service: every stream is sealed; commit the
@@ -1056,8 +1186,10 @@ struct MigCommit {
   std::vector<uint32_t> weights;
   std::vector<NodeId> pre_synced;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) {
+    return io(m.migration_id, m.planned_epoch, m.nodes, m.weights, m.pre_synced);
+  }
 };
 
 // Coordinator -> sources: stop streaming/mirroring for this migration (a
@@ -1069,8 +1201,8 @@ struct MigAbort {
   uint64_t migration_id = 0;
   std::string reason;
 
-  void Encode(ByteWriter* w) const;
-  bool Decode(ByteReader* r);
+  template <class M, class Io>
+  static auto Fields(M& m, Io&& io) { return io(m.migration_id, m.reason); }
 };
 
 }  // namespace chainreaction
